@@ -64,15 +64,26 @@ def _greedy_fill(data: bytes, bounds: Sequence[int],
             pos += length if length > MAX_UNCODED else 1
 
 
-def _lane_work(tid: np.ndarray, size: int, starts: np.ndarray,
-               nsp: int) -> np.ndarray:
-    """Listing 3's per-thread operation count (all lanes, valid or not)."""
-    valid = tid < size
-    clipped = np.minimum(tid, size - 1)
-    bidx = np.searchsorted(starts, clipped, side="right") - 1
-    block_start = starts[np.clip(bidx, 0, None)]
-    scan = np.minimum(clipped - block_start, WINDOW_SIZE)
-    return np.where(valid, float(nsp) + scan, 0.0)
+def _lane_work(tid: np.ndarray, size: int, starts: np.ndarray, nsp: int,
+               dup: Optional[np.ndarray] = None) -> np.ndarray:
+    """Listing 3's per-thread operation count (all lanes, valid or not).
+
+    Lanes whose block is flagged in ``dup`` exit right after the
+    startPos scan.
+    """
+    offset = np.minimum(tid, size - 1)  # the byte each lane reads
+    # its block, the last k with starts[k] <= byte (floored at 0): one
+    # segment expansion over the block lengths, block 0 starting at 0
+    lengths = np.diff(starts[1:], prepend=0, append=size)
+    bidx = np.repeat(np.arange(len(starts)), lengths)[offset]
+    offset -= starts[bidx]              # ... as an offset in its block
+    np.minimum(offset, WINDOW_SIZE, out=offset)
+    work = offset + float(nsp)
+    invalid = tid >= size
+    work[invalid] = 0.0
+    if dup is not None and dup.any():
+        work[dup[bidx] & ~invalid] = float(nsp)
+    return work
 
 
 def make_findmatch_kernel() -> Kernel:
@@ -101,14 +112,8 @@ def make_findmatch_kernel() -> Kernel:
             _greedy_fill(data, [s, e],
                          matches_length.view(np.int32),
                          matches_offset.view(np.int32))
-        tid = ts.flat_global_id()
-        work = _lane_work(tid, size, np.asarray(starts), startpos_size)
-        if dup.any():
-            # lanes in duplicate blocks only pay the block-search loop
-            clipped = np.minimum(tid, size - 1)
-            bidx = np.searchsorted(np.asarray(starts), clipped, side="right") - 1
-            in_dup = dup[np.clip(bidx, 0, None)] & (tid < size)
-            work = np.where(in_dup, float(startpos_size), work)
+        work = _lane_work(ts.flat_global_id(), size, np.asarray(starts),
+                          startpos_size, dup)
         return KernelWork("lzss_matchop", work)
 
     return Kernel(FindMatchKernel, name="FindMatchKernel",

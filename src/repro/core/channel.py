@@ -624,9 +624,6 @@ class ShmChannel:
     def _store(self, off: int, value: int) -> None:
         struct.pack_into("<Q", self._buf, off, value)
 
-    def qsize_bytes(self) -> int:
-        return self._load(0) - self._load(8)
-
     def qsize_items(self) -> int:
         """Envelopes currently in the ring (produced minus consumed).
 

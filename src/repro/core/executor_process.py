@@ -62,10 +62,12 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import pickle
+import queue
 import threading
 import time
 from collections import deque
 from dataclasses import replace
+from multiprocessing.connection import wait as mp_wait
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.control.controller import Controller
@@ -775,6 +777,30 @@ class ProcessExecutor(NativeExecutor):
                 materialized[id(u)] = u.spec.factory()
         return self._pickle_group(group, units, materialized)
 
+    def _collect_reports(self, procs: List[Any], result_q,
+                         deadline: float) -> List[tuple]:
+        """One report per worker, read while the workers exit.
+
+        A report larger than the pipe buffer (a traced worker's spans)
+        keeps its worker's queue feeder, and hence the worker's exit,
+        blocked until the parent reads it, so reports are drained before
+        any join.  Gives up on a worker that exited without reporting,
+        or at ``deadline`` (``time.monotonic``) on a stuck one (the join
+        then names it).
+        """
+        reports: List[tuple] = []
+        while len(reports) < len(procs) and time.monotonic() < deadline:
+            sentinels = [p.sentinel for p in procs]
+            exited = len(mp_wait(sentinels, timeout=0)) == len(procs)
+            try:
+                reports.append(result_q.get(timeout=5.0 if exited else _POLL))
+            except queue.Empty:
+                if exited:
+                    self._errors.fail(RuntimeError(
+                        "a worker process exited without reporting"))
+                    break
+        return reports
+
     def _drain_tele(self, group: str, ch: ShmChannel) -> None:
         """Fold one worker's cumulative telemetry payloads into the
         parent registry as they arrive (thread body, one per worker)."""
@@ -935,8 +961,12 @@ class ProcessExecutor(NativeExecutor):
                             edges[unit.in_channel], out_edge, name=unit.track)
 
             # Monitor: a worker that dies without reporting (kill -9,
-            # interpreter crash) must still unwind the whole run.
+            # interpreter crash) must still unwind the whole run.  Reading
+            # ``exitcode`` reaps the child (waitpid), so it is serialised
+            # with the joins below: a child reaped by one thread is gone
+            # (ECHILD) for the other, which then sees it as still alive.
             stop_monitor = threading.Event()
+            reap = threading.Lock()
 
             def monitor() -> None:
                 while not stop_monitor.is_set():
@@ -946,11 +976,13 @@ class ProcessExecutor(NativeExecutor):
                         # arrives over the result queue and is recorded
                         # by the merge loop below.
                         self._errors.set()
-                    for p in procs:
-                        if p.exitcode is not None and p.exitcode != 0:
+                    with reap:
+                        codes = [(p.name, p.exitcode) for p in procs]
+                    for name, code in codes:
+                        if code:
                             self._errors.fail(RuntimeError(
-                                f"worker process {p.name!r} died with exit "
-                                f"code {p.exitcode}"))
+                                f"worker process {name!r} died with exit "
+                                f"code {code}"))
                     time.sleep(_POLL)
 
             # Drain threads: fold each worker's cumulative telemetry
@@ -979,9 +1011,18 @@ class ProcessExecutor(NativeExecutor):
                 # the stream is over; refuse further scaling so the
                 # procs list below is final
                 actuator.close()
+            # one 30 s bound on a stuck worker covers reports and joins
+            deadline = time.monotonic() + 30.0
+            reports = self._collect_reports(procs, result_q, deadline)
             for p in procs:
-                p.join(timeout=30.0)
+                # the sentinel closes as the worker exits; the blocking
+                # join then only waits out the last of the exit
+                if mp_wait([p.sentinel],
+                           timeout=max(0.0, deadline - time.monotonic())):
+                    with reap:
+                        p.join()
             stop_monitor.set()
+            mon.join()
             for p in procs:
                 if p.is_alive():  # pragma: no cover - stuck worker
                     self._errors.fail(RuntimeError(
@@ -1000,13 +1041,7 @@ class ProcessExecutor(NativeExecutor):
                 telemetry_summary = telemetry.stop()
 
             # Merge the workers' reports: metrics always, traces when on.
-            for _ in range(len(procs)):
-                try:
-                    msg = result_q.get(timeout=5.0)
-                except Exception:  # pragma: no cover - lost report
-                    self._errors.fail(RuntimeError(
-                        "a worker process exited without reporting"))
-                    break
+            for msg in reports:
                 if msg[0] == "err":
                     self._errors.fail_remote(msg[2])
                     continue

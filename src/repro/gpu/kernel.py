@@ -88,44 +88,50 @@ class ThreadSpace:
     ``blockIdx`` linear order, threads within a block linearized with x
     fastest (matching hardware warp formation — lanes 0..31 of a warp
     are 32 consecutive flat threads of the block).
+
+    Coordinates are built lazily, one axis at a time and only for the
+    axes a kernel reads, as tiled/repeated index patterns rather than
+    div/mod passes over every lane.  In a 1D launch the global id is the
+    lane index itself.
     """
 
     def __init__(self, cfg: LaunchConfig):
         self.cfg = cfg
-        self._cache: dict[str, np.ndarray] = {}
+        self._cache: dict[tuple[str, int], np.ndarray] = {}
 
     @property
     def n(self) -> int:
         return self.cfg.total_threads
 
-    def _coords(self) -> tuple[np.ndarray, ...]:
-        key = "coords"
-        if key not in self._cache:
-            bx, by, bz = self.cfg.block
-            gx, gy, gz = self.cfg.grid
-            tpb = self.cfg.threads_per_block
-            lane = np.arange(self.n, dtype=np.int64)
-            block_lin = lane // tpb
-            tid_lin = lane % tpb
-            tx = tid_lin % bx
-            ty = (tid_lin // bx) % by
-            tz = tid_lin // (bx * by)
-            bxi = block_lin % gx
-            byi = (block_lin // gx) % gy
-            bzi = block_lin // (gx * gy)
-            self._cache[key] = (tx, ty, tz, bxi, byi, bzi)
-        return self._cache[key]  # type: ignore[return-value]
+    @staticmethod
+    def _axis_pattern(dims: Dim3, axis: int) -> np.ndarray:
+        """Index along ``axis`` of each point of ``dims``, x fastest."""
+        inner = int(np.prod(dims[:axis]))
+        outer = int(np.prod(dims[axis + 1:]))
+        return np.tile(np.repeat(np.arange(dims[axis], dtype=np.int64), inner),
+                       outer)
 
     def thread_idx(self, axis: int = 0) -> np.ndarray:
-        return self._coords()[axis]
+        key = ("thread", axis)
+        if key not in self._cache:
+            self._cache[key] = np.tile(self._axis_pattern(self.cfg.block, axis),
+                                       self.cfg.n_blocks)
+        return self._cache[key]
 
     def block_idx(self, axis: int = 0) -> np.ndarray:
-        return self._coords()[3 + axis]
+        key = ("block", axis)
+        if key not in self._cache:
+            self._cache[key] = np.repeat(self._axis_pattern(self.cfg.grid, axis),
+                                         self.cfg.threads_per_block)
+        return self._cache[key]
 
     def global_id(self, axis: int = 0) -> np.ndarray:
         """``blockIdx.axis * blockDim.axis + threadIdx.axis`` /
         OpenCL's ``get_global_id(axis)``."""
-        return self.block_idx(axis) * self.cfg.block[axis] + self.thread_idx(axis)
+        cfg = self.cfg
+        if axis == 0 and cfg.block[1:] == cfg.grid[1:] == (1, 1):
+            return np.arange(self.n, dtype=np.int64)
+        return self.block_idx(axis) * cfg.block[axis] + self.thread_idx(axis)
 
     def flat_global_id(self) -> np.ndarray:
         """The paper's ``threadIdGlobal`` for 1D launches (Listing 2 line 2)."""

@@ -24,14 +24,6 @@ def _get_pool(n_workers: Optional[int] = None) -> WorkStealingPool:
         return _default_pool
 
 
-def _shutdown_default_pool() -> None:
-    global _default_pool
-    with _pool_lock:
-        if _default_pool is not None:
-            _default_pool.shutdown()
-            _default_pool = None
-
-
 def parallel_for(range_: blocked_range, body: Callable[[blocked_range], None],
                  pool: Optional[WorkStealingPool] = None) -> None:
     """Apply ``body`` to leaf sub-ranges via recursive splitting.

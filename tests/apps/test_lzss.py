@@ -211,6 +211,107 @@ def test_findmatch_kernel_lane_work_includes_startpos_scan():
     assert work.shape == (100,)
 
 
+def _lane_work_reference(tid, size, starts, nsp, dup):
+    """Listing 3's lane work as a binary search of every lane's byte."""
+    valid = tid < size
+    clipped = np.minimum(tid, size - 1)
+    bidx = np.clip(np.searchsorted(starts, clipped, side="right") - 1, 0, None)
+    scan = np.minimum(clipped - starts[bidx], WINDOW_SIZE)
+    work = np.where(valid, float(nsp) + scan, 0.0)
+    in_dup = dup[bidx] & valid
+    return np.where(in_dup, float(nsp), work)
+
+
+def _random_starts(rng, size, anchored):
+    """Sorted block starts, some repeated (zero-length blocks), the first
+    at 0 or past it."""
+    nsp = int(rng.integers(1, 40))
+    starts = np.sort(rng.integers(0, size + 1, nsp)).astype(np.int64)
+    if nsp > 3:
+        starts[2] = starts[1]
+    if anchored:
+        starts[0] = 0
+        return starts
+    return np.maximum(starts, 1)
+
+
+@pytest.mark.parametrize("anchored", [True, False])
+def test_findmatch_lane_work_matches_binary_search(anchored):
+    from repro.apps.lzss.gpu import _lane_work
+
+    rng = np.random.default_rng(7 if anchored else 8)
+    for _ in range(200):
+        size = int(rng.integers(1, 20000))
+        tail = int(rng.integers(0, 600))  # lanes past ``size``
+        tid = np.arange(size + tail, dtype=np.int64)
+        starts = _random_starts(rng, size, anchored)
+        nsp = len(starts)
+        dup = rng.random(nsp) < 0.3
+        for flags in (dup, np.zeros(nsp, dtype=bool)):
+            want = _lane_work_reference(tid, size, starts, nsp, flags)
+            got = _lane_work(tid, size, starts, nsp, flags)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        plain = _lane_work(tid, size, starts, nsp)
+        assert plain.tobytes() == want.tobytes()
+
+
+def test_findmatch_lane_work_block_ends_and_trailing_empty_blocks():
+    from repro.apps.lzss.gpu import _lane_work
+
+    size = 10
+    tid = np.arange(16)
+    starts = np.array([0, 4, 4, 10, 10], dtype=np.int64)
+    dup = np.array([False, True, False, True, False])
+    work = _lane_work(tid, size, starts, 5, dup)
+    assert work.tobytes() == _lane_work_reference(
+        tid, size, starts, 5, dup).tobytes()
+    assert list(work[:4]) == [5, 6, 7, 8]
+    assert list(work[4:10]) == [5, 6, 7, 8, 9, 10]  # block 2, not dup block 1
+    assert not work[10:].any()
+
+
+#: virtual makespans of the Fig. 5 SPar+GPU Dedup configs on the corpus
+#: below, pinned before lane accounting moved to segment expansion
+_FIG5_SPAR_GPU_MAKESPANS = {
+    "spar cuda batch": 0.005621594314236337,
+    "spar opencl batch 2xmem": 0.005659347768781792,
+    "spar cuda batch 2gpu": 0.004098006805666566,
+    "spar cuda no-batch": 0.012605763912633591,
+}
+
+
+def test_fig5_spar_gpu_virtual_makespans_are_pinned():
+    from repro.apps.datasets import parsec_large
+    from repro.apps.dedup import dedup_gpu, verify_archive
+    from repro.apps.dedup.pipeline_gpu import GpuDedupConfig
+    from repro.apps.dedup.rabin import GearChunker, make_batches
+    from repro.core.config import ExecConfig, ExecMode
+
+    batch = 32 * 1024
+    data = parsec_large(size=256 * 1024, seed=5)
+    batches = make_batches(data, GearChunker(mask_bits=11, min_block=512,
+                                             max_block=8192),
+                           batch_size=batch)
+    configs = [
+        GpuDedupConfig(api="cuda", model="spar", batch_size=batch),
+        GpuDedupConfig(api="opencl", model="spar", mem_spaces=2,
+                       batch_size=batch),
+        GpuDedupConfig(api="cuda", model="spar", n_gpus=2, batch_size=batch),
+        GpuDedupConfig(api="cuda", model="spar", batch_opt=False,
+                       batch_size=batch),
+    ]
+    got = {}
+    for cfg in configs:
+        machine = paper_machine(cfg.n_gpus)
+        out = dedup_gpu(data, cfg, machine=machine, prechunked=batches,
+                        exec_config=ExecConfig(mode=ExecMode.SIMULATED,
+                                               machine=machine))
+        assert verify_archive(out.archive, data)
+        got[cfg.label] = out.result.makespan
+    assert got == _FIG5_SPAR_GPU_MAKESPANS
+
+
 def test_gpu_state_reuse_and_free(cuda):
     data, starts = _sample_batch()
     lz = GpuLzss(cuda, max_batch=len(data), max_blocks=8)

@@ -112,16 +112,20 @@ def test_flat_pipeline_equivalence():
     assert sorted(p.details["process_groups"]) == ["sq#0", "sq#1", "sq#2"]
 
 
-def _farm_of_pipelines():
+def _farm_of_pipelines_over(n):
     worker = Pipe([
         StageSpec(_Square, "fp.sq"),
         StageSpec(_AddN(1), "fp.add"),
     ], name="fp")
     return linear_graph(
-        IterSource(range(48)),
+        IterSource(range(n)),
         Farm(worker=worker, replicas=2, ordered=True, name="fp"),
         StageSpec(FunctionStage(_identity), "sink"),
     )
+
+
+def _farm_of_pipelines():
+    return _farm_of_pipelines_over(48)
 
 
 def test_farm_of_pipelines_equivalence():
@@ -274,3 +278,47 @@ def test_parent_source_exception_unwinds_workers():
     )
     with pytest.raises(RuntimeError, match="source died"):
         execute(g, ExecConfig(workers="process"))
+
+
+# -- worker exit and reporting -----------------------------------------------
+
+def test_monitor_polling_never_races_the_join(monkeypatch):
+    """The monitor's exit-code poll reaps children; the join must not lose
+    a worker to it and report a spurious "failed to exit"."""
+    from repro.core import executor_process
+
+    monkeypatch.setattr(executor_process, "_POLL", 0.0)
+    for _ in range(150):
+        g = linear_graph(
+            IterSource(range(4)),
+            StageSpec(_Square, "sq", replicas=2),
+            StageSpec(FunctionStage(_identity), "sink"),
+        )
+        result = execute(g, ExecConfig(workers="process"))
+        assert result.outputs == [0, 1, 4, 9]
+
+
+def test_traced_run_with_large_worker_reports_finishes():
+    """Each worker's spans exceed the pipe buffer: the parent must read
+    the reports before it joins, or the workers can never exit."""
+    import threading
+
+    n = 2000
+    rec = SpanRecorder()
+    done = {}
+
+    def run():
+        done["result"] = execute(
+            _farm_of_pipelines_over(n), ExecConfig(workers="process",
+                                                   tracer=rec))
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(timeout=20.0)
+    assert not t.is_alive(), "traced process run hung"
+    assert done["result"].outputs == [i * i + 1 for i in range(n)]
+    for replica in (0, 1):
+        tracks = {f"fp.sq[{replica}]", f"fp.add[{replica}]"}
+        shipped = [s for s in rec.spans if s.track in tracks]
+        assert len(pickle.dumps(shipped)) > 1 << 16
+        assert sum(s.cat == CAT_STAGE for s in shipped) == n

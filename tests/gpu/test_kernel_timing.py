@@ -58,6 +58,38 @@ def test_threadspace_2d_block_linearization_x_fastest():
     assert list(ts.thread_idx(1)) == [0, 0, 0, 0, 1, 1, 1, 1]
 
 
+def _reference_coords(cfg):
+    """Every lane's (thread x, y, z, block x, y, z) by div/mod of its flat
+    index: blocks in linear order, x fastest within a block."""
+    bx, by, _ = cfg.block
+    gx, gy, _ = cfg.grid
+    lane = np.arange(cfg.total_threads, dtype=np.int64)
+    block_lin = lane // cfg.threads_per_block
+    tid_lin = lane % cfg.threads_per_block
+    return (tid_lin % bx, (tid_lin // bx) % by, tid_lin // (bx * by),
+            block_lin % gx, (block_lin // gx) % gy, block_lin // (gx * gy))
+
+
+@pytest.mark.parametrize("grid,block", [
+    (7, 256), (3, 100), (1, 1), (5, 33),            # 1D, incl. partial warps
+    ((4, 3), (32, 32)), ((2, 5), (7, 3)),           # 2D
+    ((2, 3, 2), (4, 2, 3)), ((1, 1, 3), (1, 1, 5)),  # 3D
+])
+def test_threadspace_matches_full_decomposition(grid, block):
+    cfg = LaunchConfig.make(grid, block)
+    ref = _reference_coords(cfg)
+    ts = ThreadSpace(cfg)
+    for axis in range(3):
+        tid, bid = ts.thread_idx(axis), ts.block_idx(axis)
+        assert tid.dtype == bid.dtype == np.int64
+        np.testing.assert_array_equal(tid, ref[axis])
+        np.testing.assert_array_equal(bid, ref[3 + axis])
+        np.testing.assert_array_equal(
+            ts.global_id(axis), ref[3 + axis] * cfg.block[axis] + ref[axis])
+    np.testing.assert_array_equal(ts.flat_global_id(),
+                                  ref[3] * cfg.block[0] + ref[0])
+
+
 # -- Kernel functional contract -------------------------------------------------
 
 def _work_kernel(units):
